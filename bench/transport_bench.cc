@@ -91,7 +91,8 @@ double bench_sim_channel(std::size_t messages) {
   net.add_endpoints(2);
   net.add_edge(/*id=*/1, 0, 1);
   Rng rng(7);
-  transport::SendChannel sender(net.endpoint(0), rng, /*edge=*/1);
+  transport::SendChannel sender(net.endpoint(0), rng, /*edge=*/1,
+                                {.retransmit_timeout_ms = 50.0});
   std::size_t delivered = 0;
   transport::RecvChannel receiver(
       net.endpoint(1), /*edge=*/1,
@@ -126,7 +127,8 @@ double bench_udp_loopback(std::size_t messages) {
   a.add_edge(/*edge=*/1, b.local_addr());
   b.add_edge(/*edge=*/1, a.local_addr());
   Rng rng(7);
-  transport::SendChannel sender(a, rng, /*edge=*/1);
+  transport::SendChannel sender(a, rng, /*edge=*/1,
+                                {.retransmit_timeout_ms = 50.0});
   std::size_t delivered = 0;
   transport::RecvChannel receiver(
       b, /*edge=*/1,

@@ -18,17 +18,15 @@ using protocol::encode_varint;
 
 /// Reattach transport-frame metadata to a decoded message: the pinned
 /// message codec does not carry the FIN flag, so it travels in the frame
-/// header and is rebuilt into the payload block here.
-protocol::Message decode_wire_message(const std::uint8_t* payload,
-                                      std::size_t size, std::uint8_t flags) {
+/// header and is rebuilt into the payload block here. nullopt if the peer
+/// put an undecodable payload on the channel.
+std::optional<protocol::Message> decode_wire_message(
+    const std::uint8_t* payload, std::size_t size, std::uint8_t flags) {
   std::vector<std::uint8_t> buffer(payload, payload + size);
   std::optional<protocol::Message> decoded = protocol::decode_message(buffer);
-  // The reliable channel has already CRC-checked and deduplicated; an
-  // undecodable payload here means the *sender* put garbage on a healthy
-  // channel — an invariant violation, not a network fault.
-  DECSEQ_CHECK_MSG(decoded.has_value(),
-                   "undecodable message on reliable channel");
-  if ((flags & transport::kFrameFlagFin) == 0) return std::move(*decoded);
+  if (!decoded.has_value() || (flags & transport::kFrameFlagFin) == 0) {
+    return decoded;
+  }
   protocol::MessageSpec spec;
   spec.id = decoded->id();
   spec.group = decoded->group();
@@ -211,25 +209,40 @@ NodeEngine::NodeEngine(transport::Transport& transport,
         case EdgeKind::kIngress:
           deliver = [this](const std::uint8_t* payload, std::size_t size,
                            std::uint8_t flags) {
-            ingress_arrive(decode_wire_message(payload, size, flags));
+            std::optional<protocol::Message> m =
+                decode_wire_message(payload, size, flags);
+            if (!m.has_value() || !ingress_here(*m)) {
+              ++stats_.malformed;
+              return;
+            }
+            ingress_arrive(std::move(*m));
           };
           break;
         case EdgeKind::kDistribute:
           deliver = [this](const std::uint8_t* payload, std::size_t size,
                            std::uint8_t flags) {
-            deliver_local(decode_wire_message(payload, size, flags));
+            const std::optional<protocol::Message> m =
+                decode_wire_message(payload, size, flags);
+            if (!m.has_value() || !sequenced(*m)) {
+              ++stats_.malformed;
+              return;
+            }
+            deliver_local(*m);
           };
           break;
         case EdgeKind::kAtom:
           deliver = [this, to = edge.to](const std::uint8_t* payload,
                                          std::size_t size,
                                          std::uint8_t flags) {
-            protocol::Message m = decode_wire_message(payload, size, flags);
-            // Compute the hop position before handing off the message:
-            // at_atom takes it by value, and argument evaluation order
-            // would otherwise be free to move it out first.
-            const std::size_t pos = hop_pos(m.group(), to);
-            at_atom(pos, std::move(m));
+            std::optional<protocol::Message> m =
+                decode_wire_message(payload, size, flags);
+            const std::optional<std::size_t> pos =
+                m.has_value() ? hop_pos(m->group(), to) : std::nullopt;
+            if (!pos.has_value() || !stamped_through(*m, *pos)) {
+              ++stats_.malformed;
+              return;
+            }
+            at_atom(*pos, std::move(*m));
           };
           break;
         default:
@@ -363,15 +376,48 @@ void NodeEngine::on_delivered(NodeId receiver,
   on_delivery_(receiver, message, now_ms);
 }
 
-std::size_t NodeEngine::hop_pos(GroupId group, AtomId atom) const {
-  DECSEQ_CHECK(group.valid() && group.value() < groups_.size());
+bool NodeEngine::known_group(GroupId group) const {
+  return group.valid() && group.value() < groups_.size();
+}
+
+bool NodeEngine::ingress_here(const protocol::Message& message) const {
+  if (!known_group(message.group())) return false;
+  const GroupState& state = groups_[message.group().value()];
+  return !state.hops.empty() && state.hops.front().rank == rank_ &&
+         message.stamps.empty() &&
+         !(state.ingress_closed && message.is_fin());
+}
+
+bool NodeEngine::sequenced(const protocol::Message& message) const {
+  if (!known_group(message.group()) || message.group_seq == 0) return false;
+  return stamped_through(message,
+                         groups_[message.group().value()].hops.size());
+}
+
+bool NodeEngine::stamped_through(const protocol::Message& message,
+                                 std::size_t end) const {
+  // Exactly one nonzero stamp per stamping hop before `end`, in path order:
+  // a stamp missing, repeated or for another atom would later trip a
+  // receiver's counter check.
+  const std::vector<HopEntry>& hops = groups_[message.group().value()].hops;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < end; ++i) {
+    if (!hops[i].stamps) continue;
+    if (next == message.stamps.size()) return false;
+    const protocol::Stamp& stamp = message.stamps[next++];
+    if (stamp.atom != hops[i].atom || stamp.seq == 0) return false;
+  }
+  return next == message.stamps.size();
+}
+
+std::optional<std::size_t> NodeEngine::hop_pos(GroupId group,
+                                               AtomId atom) const {
+  if (!known_group(group)) return std::nullopt;
   const GroupState& state = groups_[group.value()];
   for (std::size_t i = 0; i < state.hops.size(); ++i) {
     if (state.hops[i].atom == atom) return i;
   }
-  DECSEQ_CHECK_MSG(false,
-                   "atom " << atom << " not on path of group " << group);
-  return 0;
+  return std::nullopt;
 }
 
 transport::SendChannel& NodeEngine::atom_out(AtomId from, AtomId to) {

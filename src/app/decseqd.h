@@ -98,6 +98,11 @@ class NodeEngine {
     std::uint64_t distributed = 0; ///< cross-rank distribution sends
     std::uint64_t delivered = 0;   ///< non-FIN deliveries at local hosts
     std::uint64_t fins_delivered = 0;
+    /// Peer messages rejected before reaching the protocol logic: an
+    /// undecodable payload, an unknown group, an atom off the group's path,
+    /// a publish for a group whose ingress is elsewhere or already closed,
+    /// or a distribution without sequence numbers.
+    std::uint64_t malformed = 0;
   };
 
   using DeliveryFn = std::function<void(NodeId receiver,
@@ -146,7 +151,18 @@ class NodeEngine {
   void on_delivered(NodeId receiver, const protocol::Message& message,
                     double now_ms);
 
-  [[nodiscard]] std::size_t hop_pos(GroupId group, AtomId atom) const;
+  // Validation of peer input; a rejected message is counted in
+  // Stats::malformed and dropped.
+  [[nodiscard]] bool known_group(GroupId group) const;
+  [[nodiscard]] bool ingress_here(const protocol::Message& message) const;
+  [[nodiscard]] bool sequenced(const protocol::Message& message) const;
+  /// Whether `message` carries the stamps of exactly the hops before
+  /// position `end` on its (known) group's path.
+  [[nodiscard]] bool stamped_through(const protocol::Message& message,
+                                     std::size_t end) const;
+  /// Position of `atom` on `group`'s path; nullopt if either is unknown.
+  [[nodiscard]] std::optional<std::size_t> hop_pos(GroupId group,
+                                                   AtomId atom) const;
   transport::SendChannel& atom_out(AtomId from, AtomId to);
 
   transport::Transport* transport_;

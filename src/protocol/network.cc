@@ -422,21 +422,6 @@ void SequencingNetwork::ingest(std::uint32_t shard,
                            });
 }
 
-double SequencingNetwork::ingress_backoff_delay(std::uint32_t attempts) {
-  // Exponential and capped like the channels' schedule, but deliberately
-  // NOT jittered: a sender's pending publishes retry in lockstep, so the
-  // FIFO tie-break keeps them in publish order through the outage. Jitter
-  // decorrelates independent hosts; within one sender's serialized retry
-  // pipeline it would only scramble that order.
-  const sim::ChannelOptions& ch = options_.channel;
-  const double cap = ch.retransmit_timeout_ms * ch.max_backoff_factor;
-  double delay = ch.retransmit_timeout_ms;
-  for (std::uint32_t i = 1; i < attempts && delay < cap; ++i) {
-    delay *= ch.backoff_factor;
-  }
-  return std::min(delay, cap);
-}
-
 void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
                                           std::uint32_t attempts) {
   GroupRoute& route = group_route(payload->group());
@@ -469,10 +454,14 @@ void SequencingNetwork::arrive_at_ingress(AtomId ingress, PayloadRef payload,
       return;
     }
     // Publisher retry, with the channels' exponential backoff so a long
-    // ingress-machine outage costs O(log) retries, not a retry storm.
+    // ingress-machine outage costs O(log) retries, not a retry storm. It is
+    // deliberately NOT jittered: a sender's pending publishes retry in
+    // lockstep, so the FIFO tie-break keeps them in publish order through
+    // the outage. Jitter decorrelates independent hosts; within one
+    // sender's serialized retry pipeline it would only scramble that order.
     ++rec.ingress_retries;
     const std::uint32_t next = attempts + 1;
-    sim.schedule_after(ingress_backoff_delay(next),
+    sim.schedule_after(arq::backoff_delay(options_.channel, next),
                        [this, ingress, payload = std::move(payload), next] {
                          arrive_at_ingress(ingress, payload, next);
                        });

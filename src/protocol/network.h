@@ -259,7 +259,7 @@ class SequencingNetwork {
   /// must be an edge some group's path uses). Messages queue in the §3.1
   /// retransmission buffer until recovery; partition semantics are
   /// arrival-time (in-flight traffic dies inside the window, see
-  /// sim/channel.h "Failure model").
+  /// sim/channel.h).
   void fail_link(AtomId from, AtomId to);
   void recover_link(AtomId from, AtomId to);
   [[nodiscard]] bool link_failed(AtomId from, AtomId to) const;
@@ -434,9 +434,6 @@ class SequencingNetwork {
   /// the group sequence number here. `attempts` counts the retries so far.
   void arrive_at_ingress(AtomId ingress, PayloadRef payload,
                          std::uint32_t attempts);
-  /// Delay before ingress retry `attempts`: the channels' backoff formula
-  /// (exponential, capped, jittered) applied to the ingress retry loop.
-  [[nodiscard]] double ingress_backoff_delay(std::uint32_t attempts);
   void distribute(AtomId last_atom, Message message);
   [[nodiscard]] FanOutPlan& fanout_plan(GroupId group, AtomId last_atom);
   /// Materialize a distribution plan for `group` from an explicit member

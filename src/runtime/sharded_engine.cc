@@ -30,7 +30,6 @@ ShardedEngine::ShardedEngine(ShardPlan plan, std::uint64_t seed,
       seed_(seed),
       epoch_(epoch),
       unit_pos_(plan_.num_units, 0) {
-  unit_rngs_.reserve(plan_.num_units);
   for (std::uint32_t u = 0; u < plan_.num_units; ++u) {
     unit_rngs_.emplace_back(unit_seed(seed, epoch, plan_.unit_key[u]));
   }

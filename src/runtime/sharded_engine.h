@@ -35,6 +35,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -111,7 +112,12 @@ class ShardedEngine {
   [[nodiscard]] sim::Simulator& shard_sim(std::uint32_t s) {
     return shards_[s]->sim;
   }
+  /// The unit's channel-jitter stream. Address-stable for the engine's
+  /// lifetime: extend_plan() never moves an existing unit's stream.
   [[nodiscard]] Rng& unit_rng(std::uint32_t unit) { return unit_rngs_[unit]; }
+  [[nodiscard]] const Rng& unit_rng(std::uint32_t unit) const {
+    return unit_rngs_[unit];
+  }
 
   void set_ingest(IngestFn fn) { ingest_ = std::move(fn); }
 
@@ -200,7 +206,9 @@ class ShardedEngine {
   /// Ctor seed/epoch, kept for extend_plan's unit-seed derivation.
   std::uint64_t seed_ = 0;
   std::uint64_t epoch_ = 0;
-  std::vector<Rng> unit_rngs_;
+  /// A deque: extend_plan appends units while channels hold references to
+  /// the existing units' RNGs, so the streams must never move.
+  std::deque<Rng> unit_rngs_;
   std::vector<std::uint64_t> unit_pos_;
   IngestFn ingest_;
   /// unique_ptr: a Simulator is not movable once channels capture it, and

@@ -1,19 +1,40 @@
 #include "transport/channel.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 namespace decseq::transport {
 
 // --- SendChannel ---------------------------------------------------------
 
+struct SendChannel::Io {
+  SendChannel* ch;
+  [[nodiscard]] double now() const { return ch->transport_->now_ms(); }
+  void transmit(std::uint64_t /*seq*/, Frame& frame) {
+    ch->transport_->send(ch->edge_, frame.data(), frame.size());
+  }
+  [[nodiscard]] bool timer_armed() const { return ch->timer_.valid(); }
+  void arm_timer(double deadline) {
+    SendChannel* c = ch;
+    c->timer_ = c->transport_->schedule_after(
+        std::max(0.0, deadline - now()), [c] { c->on_timer(); });
+  }
+  void disarm_timer() {
+    if (!ch->timer_.valid()) return;
+    ch->transport_->cancel(ch->timer_);
+    ch->timer_ = Transport::TimerId();
+  }
+  /// The wire has no oracle for remote failure.
+  [[nodiscard]] static bool endpoint_down() { return false; }
+  void on_fault(const ChannelFault& fault) {
+    if (ch->on_fault_) ch->on_fault_(fault);
+  }
+};
+
 SendChannel::SendChannel(Transport& transport, Rng& rng, EdgeId edge,
                          ChannelOptions options)
-    : transport_(&transport), rng_(&rng), edge_(edge), options_(options) {
-  DECSEQ_CHECK(options_.backoff_factor >= 1.0);
-  DECSEQ_CHECK(options_.max_backoff_factor >= 1.0);
-  DECSEQ_CHECK(options_.backoff_jitter >= 0.0);
+    : transport_(&transport), edge_(edge), out_(rng, options) {
+  DECSEQ_CHECK(options.loss_probability == 0.0);
 }
 
 SendChannel::~SendChannel() {
@@ -22,80 +43,44 @@ SendChannel::~SendChannel() {
 
 void SendChannel::send(const std::uint8_t* payload, std::size_t size,
                        std::uint8_t flags) {
-  const std::uint64_t seq = next_send_seq_++;
-  OutPacket packet;
-  packet.frame =
-      encode_frame(FrameType::kData, flags, edge_, seq, payload, size);
-  packet.deadline = transport_->now_ms() + options_.retransmit_timeout_ms;
-  ++transmissions_;
-  transport_->send(edge_, packet.frame.data(), packet.frame.size());
-  out_.push_back(std::move(packet));
-  if (!timer_.valid()) arm_timer(out_.back().deadline);
+  Io io{this};
+  // The frame carries the sequence number the window is about to assign.
+  out_.send(encode_frame(FrameType::kData, flags, edge_, out_.next_seq(),
+                         payload, size),
+            io);
 }
 
 void SendChannel::on_ack(std::uint64_t cumulative) {
-  while (!out_.empty() && send_base_ < cumulative) {
-    out_.pop_front();
-    ++send_base_;
-  }
-  if (out_.empty()) {
-    // The whole window made it through: any surfaced fault is over, and
-    // acked packets must never wake the timer again.
-    fault_.reset();
-    if (timer_.valid()) {
-      transport_->cancel(timer_);
-      timer_ = Transport::TimerId();
-    }
-  }
-}
-
-double SendChannel::backoff_delay(std::uint32_t attempts) {
-  const double cap =
-      options_.retransmit_timeout_ms * options_.max_backoff_factor;
-  double delay = options_.retransmit_timeout_ms;
-  for (std::uint32_t i = 1; i < attempts && delay < cap; ++i) {
-    delay *= options_.backoff_factor;
-  }
-  delay = std::min(delay, cap);
-  return delay * (1.0 + rng_->next_double() * options_.backoff_jitter);
-}
-
-void SendChannel::arm_timer(double deadline) {
-  const double now = transport_->now_ms();
-  timer_ = transport_->schedule_after(std::max(0.0, deadline - now),
-                                      [this] { on_timer(); });
+  Io io{this};
+  out_.ack(cumulative, io);
 }
 
 void SendChannel::on_timer() {
   timer_ = Transport::TimerId();
-  if (out_.empty()) return;  // raced with the draining ack
-  const double now = transport_->now_ms();
-  bool any_due = false;
-  double earliest = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < out_.size(); ++i) {
-    OutPacket& packet = out_[i];
-    if (packet.deadline <= now) {
-      any_due = true;
-      const std::uint32_t attempts = ++packet.attempts;
-      if (attempts > options_.max_retransmits && !fault_.has_value()) {
-        fault_ = ChannelFault{send_base_ + i, attempts, now};
-        ++faults_entered_;
-        if (on_fault_) on_fault_(*fault_);
-      }
-      ++transmissions_;
-      transport_->send(edge_, packet.frame.data(), packet.frame.size());
-      packet.deadline = now + backoff_delay(attempts);
-    }
-    if (packet.deadline < earliest) earliest = packet.deadline;
-  }
-  if (any_due) ++retransmit_timer_fires_;
-  // Unlike the simulator channel there is no known-down oracle to park on:
-  // a faulted channel keeps probing at the capped cadence — a fault is a
-  // status, never a wedge — until an ack drains the window.
-  arm_timer(earliest);
+  Io io{this};
+  out_.expire(io);
 }
 
 // --- RecvChannel ---------------------------------------------------------
+
+struct RecvChannel::Io {
+  RecvChannel* ch;
+  std::uint8_t flags;
+  const std::uint8_t* payload;
+  std::size_t size;
+  void deliver_arrival() { ch->deliver_(payload, size, flags); }
+  [[nodiscard]] Parked park() const {
+    return Parked{flags, std::vector<std::uint8_t>(payload, payload + size)};
+  }
+  void deliver(Parked&& parked) {
+    ch->deliver_(parked.payload.data(), parked.payload.size(), parked.flags);
+  }
+  void ack(std::uint64_t cumulative) {
+    const std::vector<std::uint8_t> frame =
+        encode_frame(FrameType::kAck, 0, ch->edge_, cumulative);
+    ch->transport_->send(ch->edge_, frame.data(), frame.size());
+  }
+};
 
 RecvChannel::RecvChannel(Transport& transport, EdgeId edge, DeliverFn deliver)
     : transport_(&transport), edge_(edge), deliver_(std::move(deliver)) {
@@ -104,59 +89,8 @@ RecvChannel::RecvChannel(Transport& transport, EdgeId edge, DeliverFn deliver)
 
 bool RecvChannel::on_data(std::uint64_t seq, std::uint8_t flags,
                           const std::uint8_t* payload, std::size_t size) {
-  if (seq < next_deliver_seq_) {
-    // Retransmit-induced duplicate of something already delivered: the ack
-    // that released it was lost. Re-ack, drop.
-    ++duplicates_;
-    send_ack();
-    return true;
-  }
-  const std::uint64_t ahead = seq - next_deliver_seq_;
-  if (ahead >= kMaxReorderWindow) {
-    // Beyond the reorder window: drop, but still send the cumulative ack.
-    // A sender that legitimately ran a full window ahead of a stalled head
-    // learns where the receiver actually is and stops retransmitting the
-    // packets below it; staying silent here turned one stall into a
-    // full-window retransmit storm (every dropped packet kept its timer).
-    ++window_overruns_;
-    send_ack();
-    return false;
-  }
-  // Fast path: the next expected packet with nothing parked behind it.
-  if (ahead == 0 && reorder_.empty()) {
-    ++next_deliver_seq_;
-    ++delivered_;
-    deliver_(payload, size, flags);
-    send_ack();
-    return true;
-  }
-  const std::size_t index = static_cast<std::size_t>(ahead);
-  if (index >= reorder_.size()) reorder_.resize(index + 1);
-  if (!reorder_[index].has_value()) {
-    Parked parked;
-    parked.flags = flags;
-    parked.payload.assign(payload, payload + size);
-    reorder_[index].emplace(std::move(parked));
-    ++reorder_buffered_;
-  } else {
-    ++duplicates_;
-  }
-  while (!reorder_.empty() && reorder_.front().has_value()) {
-    Parked parked = std::move(*reorder_.front());
-    reorder_.pop_front();
-    --reorder_buffered_;
-    ++next_deliver_seq_;
-    ++delivered_;
-    deliver_(parked.payload.data(), parked.payload.size(), parked.flags);
-  }
-  send_ack();
-  return true;
-}
-
-void RecvChannel::send_ack() {
-  const std::vector<std::uint8_t> frame =
-      encode_frame(FrameType::kAck, 0, edge_, next_deliver_seq_);
-  transport_->send(edge_, frame.data(), frame.size());
+  Io io{this, flags, payload, size};
+  return in_.arrive(seq, io);
 }
 
 // --- ChannelSet ----------------------------------------------------------

@@ -1,41 +1,19 @@
-// Reliable FIFO channels over an unreliable datagram transport.
+// Reliable FIFO channels over an unreliable datagram transport: the wire
+// driver of the channel core in common/arq.h (sim::Channel<T> is the
+// other). Sender and receiver live in different processes, so the core's
+// two halves are two objects here, and the driver adds what the wire needs:
+//  * every packet is a frame (frame.h); the sender's slot is the encoded
+//    DATA frame (encode once, resend bytes), a parked arrival a copy of its
+//    payload; timers run on the Transport's clock;
+//  * a real transport cannot know the far end is down, so a faulted
+//    channel keeps probing at the capped cadence until an ack drains it;
+//  * the receiver bounds its reorder window (kMaxReorderWindow): a valid
+//    CRC does not make a sequence number sane, and a peer's seq must not
+//    size an allocation.
 //
-// The wire-facing twin of sim/channel.h: the same §3.1 algorithm — per
-// channel sequence numbers, a sender-side output retransmission ring with
-// one earliest-deadline timer, per-packet exponential backoff with capped
-// multiplicative jitter, a receiver-side reorder ring released strictly in
-// send order, cumulative acks — but split into its two endpoint halves,
-// because over a real network the sender and receiver live in different
-// processes. sim::Channel<T> keeps both halves in one object (and moves
-// typed payloads by reference, which is what the figure benchmarks
-// measure); here each half owns its state and everything on the wire is a
-// frame (frame.h) of real bytes.
-//
-// Differences from the simulator channel, all forced by the deployment
-// model rather than chosen:
-//  * Retransmitted packets are the *stored encoded frames* — encode once,
-//    resend bytes.
-//  * There is no set_link_down / set_receiver_down: a real transport has
-//    no oracle for remote failure. The fault state (max_retransmits
-//    exhausted) therefore never parks the timer — the channel keeps
-//    probing at the capped backoff cadence until an ack drains the window
-//    (which clears the fault), exactly the sim channel's pure-loss fault
-//    behavior.
-//  * The receiver bounds its reorder window (kMaxReorderWindow): a valid
-//    CRC does not make a sequence number sane, and an attacker-controlled
-//    (or wildly corrupted) seq must not size an allocation. Packets beyond
-//    the window are dropped but still acked with the highest-contiguous
-//    cumulative seq — the sender's window advances past everything already
-//    received and the retransmit machinery re-delivers the dropped packets
-//    once the window has advanced.
-//
-// ChannelSet is the per-endpoint demultiplexer: it owns the map from edge
-// id to channel half, parses each arriving datagram exactly once, routes
-// DATA to the edge's receiver and ACK to the edge's sender, hands
-// bootstrap frames (JOIN/PEERS) to a control hook, and counts everything
-// it rejects — malformed frames, unknown edges, out-of-window packets —
-// so the wire-robustness tests can assert that garbage is dropped, not
-// acted on.
+// ChannelSet is the per-endpoint demultiplexer: it parses each datagram
+// once, routes DATA to the edge's receiver and ACK to its sender, hands
+// JOIN/PEERS to a control hook, and counts everything it rejects.
 #pragma once
 
 #include <cstddef>
@@ -45,30 +23,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/arq.h"
 #include "common/check.h"
-#include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "transport/frame.h"
 #include "transport/transport.h"
 
 namespace decseq::transport {
 
-/// Tuning knobs; field meanings match sim::ChannelOptions (minus the
-/// simulated loss coin — real networks bring their own).
-struct ChannelOptions {
-  double retransmit_timeout_ms = 50.0;
-  std::size_t max_retransmits = 100;
-  double backoff_factor = 2.0;
-  double max_backoff_factor = 64.0;
-  double backoff_jitter = 0.1;
-};
-
-/// Surfaced fault: the packet whose retransmission budget ran out.
-struct ChannelFault {
-  std::uint64_t seq = 0;
-  std::uint32_t attempts = 0;
-  double at = 0.0;
-};
+/// loss_probability must stay 0 on the wire.
+using ChannelOptions = arq::Options;
+using ChannelFault = arq::Fault;
 
 /// Sender half: numbers payloads, buffers the encoded frames until the
 /// cumulative ack releases them, retransmits with backoff.
@@ -87,108 +52,76 @@ class SendChannel {
   void send(const std::uint8_t* payload, std::size_t size,
             std::uint8_t flags = 0);
 
-  /// The peer's cumulative ack arrived: release every frame below it; a
-  /// drained window disarms the timer and clears any fault.
+  /// The peer's cumulative ack arrived.
   void on_ack(std::uint64_t cumulative);
 
   void set_fault_callback(FaultFn on_fault) { on_fault_ = std::move(on_fault); }
 
   [[nodiscard]] EdgeId edge() const { return edge_; }
-  [[nodiscard]] bool faulted() const { return fault_.has_value(); }
+  [[nodiscard]] bool faulted() const { return out_.faulted(); }
   [[nodiscard]] const std::optional<ChannelFault>& fault() const {
-    return fault_;
+    return out_.fault();
   }
-  [[nodiscard]] std::size_t faults_entered() const { return faults_entered_; }
-  [[nodiscard]] std::size_t unacked() const { return out_.size(); }
-  [[nodiscard]] std::size_t transmissions() const { return transmissions_; }
+  [[nodiscard]] std::size_t unacked() const { return out_.unacked(); }
+  [[nodiscard]] std::size_t transmissions() const {
+    return out_.transmissions();
+  }
   [[nodiscard]] std::size_t retransmit_timer_fires() const {
-    return retransmit_timer_fires_;
+    return out_.retransmit_timer_fires();
   }
 
  private:
-  struct OutPacket {
-    std::vector<std::uint8_t> frame;  ///< full encoded DATA frame
-    double deadline = 0.0;
-    std::uint32_t attempts = 0;
-  };
+  using Frame = std::vector<std::uint8_t>;  ///< full encoded DATA frame
+  struct Io;
 
-  [[nodiscard]] double backoff_delay(std::uint32_t attempts);
-  void arm_timer(double deadline);
   void on_timer();
 
   Transport* transport_;
-  Rng* rng_;
   EdgeId edge_;
-  ChannelOptions options_;
   FaultFn on_fault_;
-
-  std::uint64_t next_send_seq_ = 0;
-  std::uint64_t send_base_ = 0;  ///< seq of out_.front()
-  common::RingBuffer<OutPacket> out_;
+  arq::SendWindow<Frame> out_;
   Transport::TimerId timer_;
-  std::optional<ChannelFault> fault_;
-  std::size_t faults_entered_ = 0;
-  std::size_t transmissions_ = 0;
-  std::size_t retransmit_timer_fires_ = 0;
 };
 
-/// Receiver half: reorders arrivals into send order, delivers exactly
-/// once, acks cumulatively on every arrival (so a lost ack is repaired by
-/// the next one, including retransmit-induced duplicates).
+/// Receiver half: delivers exactly once in send order, acks every arrival.
 class RecvChannel {
  public:
   using DeliverFn = std::function<void(const std::uint8_t* payload,
                                        std::size_t size, std::uint8_t flags)>;
 
-  /// Furthest ahead of the next expected sequence number a packet may be
-  /// and still be buffered. Far beyond what the sender's window produces
-  /// in practice; its job is bounding memory against insane seq values.
+  /// How far past the next expected sequence number an arrival may land
+  /// and still be parked; bounds memory against insane seq values.
   static constexpr std::uint64_t kMaxReorderWindow = 4096;
 
   RecvChannel(Transport& transport, EdgeId edge, DeliverFn deliver);
   RecvChannel(const RecvChannel&) = delete;
   RecvChannel& operator=(const RecvChannel&) = delete;
 
-  /// A DATA frame for this edge arrived. Returns false iff the packet was
-  /// dropped for being beyond the reorder window (the drop is still acked
-  /// with the highest-contiguous cumulative seq, so the sender's window
-  /// advances instead of retransmitting everything below the drop).
+  /// A DATA frame for this edge arrived. Returns false iff it was dropped
+  /// beyond the reorder window (the drop is still acked cumulatively).
   bool on_data(std::uint64_t seq, std::uint8_t flags,
                const std::uint8_t* payload, std::size_t size);
 
   [[nodiscard]] EdgeId edge() const { return edge_; }
   [[nodiscard]] std::size_t reorder_buffered() const {
-    return reorder_buffered_;
+    return in_.buffered();
   }
-  [[nodiscard]] std::size_t delivered() const { return delivered_; }
-  [[nodiscard]] std::size_t duplicates() const { return duplicates_; }
-  /// Packets dropped for landing beyond the reorder window (each one was
-  /// still acked cumulatively; see on_data).
   [[nodiscard]] std::size_t window_overruns() const {
-    return window_overruns_;
+    return in_.window_overruns();
   }
-  [[nodiscard]] std::uint64_t next_deliver_seq() const {
-    return next_deliver_seq_;
-  }
+  [[nodiscard]] std::uint64_t next_deliver_seq() const { return in_.next(); }
 
  private:
   struct Parked {
     std::uint8_t flags = 0;
     std::vector<std::uint8_t> payload;
   };
-
-  void send_ack();
+  struct Io;
 
   Transport* transport_;
   EdgeId edge_;
   DeliverFn deliver_;
-
-  std::uint64_t next_deliver_seq_ = 0;
-  common::RingBuffer<std::optional<Parked>> reorder_;
-  std::size_t reorder_buffered_ = 0;
-  std::size_t delivered_ = 0;
-  std::size_t duplicates_ = 0;
-  std::size_t window_overruns_ = 0;
+  arq::RecvWindow<Parked> in_{kMaxReorderWindow};
 };
 
 /// Per-endpoint datagram demultiplexer: edge id → channel half.

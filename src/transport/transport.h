@@ -29,11 +29,13 @@
 // config); a datagram sent on edge e arrives at e's destination endpoint
 // carrying e in its frame header, so one socket serves every channel.
 //
-// The simulated pub/sub stack (pubsub/system.h) deliberately does NOT go
-// through this interface: its in-memory sim::Channel<Message> moves typed
-// messages by reference with zero serialization, which is what the figure
-// benchmarks measure. The transport layer is the wire-facing counterpart —
-// same channel algorithm (channel.h), same codec, real bytes.
+// The reliable channel algorithm itself has one implementation, the
+// sans-IO core in common/arq.h, with two drivers. The simulated pub/sub
+// stack (pubsub/system.h) runs it as sim::Channel<Message>, which moves
+// typed messages by reference with zero serialization (what the figure
+// benchmarks measure) and does not go through this interface. The wire
+// driver, SendChannel/RecvChannel in channel.h, runs the same core over
+// this interface: same codec, real bytes.
 #pragma once
 
 #include <cstddef>

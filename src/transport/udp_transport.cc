@@ -131,22 +131,49 @@ void UdpTransport::set_datagram_sink(DatagramSink sink) {
 
 Transport::TimerId UdpTransport::schedule_after(double delay_ms,
                                                 sim::Simulator::Callback cb) {
-  // Advance the heap's clock first so "after" means "after wall-now", not
-  // "after the last poll".
-  timers_.run_until(monotonic_ms() - clock_base_);
-  return timers_.schedule_after(std::max(0.0, delay_ms), std::move(cb));
+  // "After" means after wall-now, not after the last poll. The heap's clock
+  // is not advanced here: that would fire due timers from inside a caller
+  // that is still working through queued datagrams (see poll()).
+  return timers_.schedule_at(now_ms() + std::max(0.0, delay_ms),
+                             std::move(cb));
 }
 
 bool UdpTransport::cancel(TimerId id) { return timers_.cancel(id); }
 
+std::size_t UdpTransport::read_queued() {
+  std::size_t delivered = 0;
+  while (true) {
+    sockaddr_in from{};
+    socklen_t from_len = sizeof(from);
+    const ssize_t n = ::recvfrom(
+        impl_->fd, impl_->recv_buffer.data(), impl_->recv_buffer.size(), 0,
+        reinterpret_cast<sockaddr*>(&from), &from_len);
+    if (n < 0) break;  // EAGAIN: drained
+    ++received_;
+    if (sink_) {
+      Origin origin;
+      origin.ip_be = from.sin_addr.s_addr;
+      origin.port = ntohs(from.sin_port);
+      sink_(impl_->recv_buffer.data(), static_cast<std::size_t>(n), origin);
+      ++delivered;
+    }
+  }
+  return delivered;
+}
+
 std::size_t UdpTransport::poll(double max_wait_ms) {
   DECSEQ_CHECK(max_wait_ms >= 0.0);
-  double now = monotonic_ms() - clock_base_;
-  timers_.run_until(now);
+  // Datagrams already queued are read before any timer fires: after a
+  // stall, the acks that release a sender's window are usually waiting
+  // here, and firing its retransmit timer first would resend the whole
+  // window for nothing.
+  std::size_t delivered = read_queued();
+  timers_.run_until(monotonic_ms() - clock_base_);
+  if (delivered > 0 || max_wait_ms == 0.0) return delivered;
 
-  // Sleep until the earliest timer or the caller's bound, whichever comes
-  // first; a readable socket wakes us earlier.
-  now = monotonic_ms() - clock_base_;
+  // Nothing was queued: sleep until the earliest timer or the caller's
+  // bound, whichever comes first; a readable socket wakes us earlier.
+  const double now = monotonic_ms() - clock_base_;
   double wait = max_wait_ms;
   const double next_timer = timers_.next_event_time();
   if (next_timer < std::numeric_limits<double>::infinity()) {
@@ -155,28 +182,8 @@ std::size_t UdpTransport::poll(double max_wait_ms) {
   pollfd pfd{};
   pfd.fd = impl_->fd;
   pfd.events = POLLIN;
-  const int timeout = static_cast<int>(std::ceil(wait));
-  ::poll(&pfd, 1, timeout);
-
-  std::size_t delivered = 0;
-  if ((pfd.revents & POLLIN) != 0) {
-    while (true) {
-      sockaddr_in from{};
-      socklen_t from_len = sizeof(from);
-      const ssize_t n = ::recvfrom(
-          impl_->fd, impl_->recv_buffer.data(), impl_->recv_buffer.size(), 0,
-          reinterpret_cast<sockaddr*>(&from), &from_len);
-      if (n < 0) break;  // EAGAIN: drained
-      ++received_;
-      if (sink_) {
-        Origin origin;
-        origin.ip_be = from.sin_addr.s_addr;
-        origin.port = ntohs(from.sin_port);
-        sink_(impl_->recv_buffer.data(), static_cast<std::size_t>(n), origin);
-        ++delivered;
-      }
-    }
-  }
+  ::poll(&pfd, 1, static_cast<int>(std::ceil(wait)));
+  if ((pfd.revents & POLLIN) != 0) delivered = read_queued();
   timers_.run_until(monotonic_ms() - clock_base_);
   return delivered;
 }

@@ -16,11 +16,14 @@
 // code the simulator runs (the Protolib ProtoTimer move).
 //
 // poll(max_wait_ms) is the whole event loop step:
-//   1. advance timers to wall-now;
-//   2. block in ::poll() on the socket until the earliest pending timer or
-//      max_wait_ms, whichever is sooner;
-//   3. drain every readable datagram into the sink;
-//   4. advance timers again.
+//   1. drain every datagram already queued on the socket into the sink;
+//   2. advance timers to wall-now, firing whatever came due;
+//   3. if nothing was queued and max_wait_ms > 0, block in ::poll() on the
+//      socket until the earliest pending timer or max_wait_ms, whichever
+//      is sooner, then drain and advance timers again.
+// Reading before firing matters after any stall longer than a retransmit
+// timeout: the acks that release the senders' windows are already queued,
+// and timers fired first would retransmit every unacked packet.
 // Run loops (the decseqd daemon, the proxy, the tests) just call poll() in
 // a loop and check their own exit conditions between calls.
 //
@@ -91,6 +94,9 @@ class UdpTransport final : public Transport {
   [[nodiscard]] std::size_t send_errors() const { return send_errors_; }
 
  private:
+  /// Hand every queued datagram to the sink; returns how many.
+  std::size_t read_queued();
+
   struct Impl;  ///< holds the fd, peer table, and receive buffer
   Impl* impl_;
 

@@ -470,6 +470,74 @@ TEST(ReconfigureAsync, ShardedMidBurstMatchesStopTheWorldForUntouchedGroups) {
             (std::vector<NodeId>{N(1), N(2), N(3), N(4)}));
 }
 
+TEST(ReconfigureAsync, ShardedRetransmitsAfterPlanGrowthStayDeterministic) {
+  // A retransmit timeout far below every path round trip: each hop
+  // retransmits spuriously, drawing jitter from its unit's RNG stream. The
+  // batch lands mid-burst and adds four island groups, so the sharded plan
+  // grows past the units it started with; the old units' channels must
+  // keep drawing from their own (unmoved) streams afterwards.
+  using Change = PubSubSystem::MembershipChange;
+  const auto run = [](std::size_t shards, bool* old_streams_drew) {
+    auto config = test::small_config(142);
+    config.shards = shards;
+    config.network.channel.retransmit_timeout_ms = 0.5;
+    PubSubSystem system(config);
+    // A chain of double overlaps (multi-atom paths, so real channels) and
+    // an island: two units, two shards.
+    const std::vector<GroupId> groups = {
+        system.create_group({N(0), N(1), N(2), N(3)}),
+        system.create_group({N(2), N(3), N(4), N(5)}),
+        system.create_group({N(4), N(5), N(6), N(7)}),
+        system.create_group({N(8), N(9)})};
+    const std::vector<NodeId> senders = {N(0), N(2), N(6), N(8)};
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      system.publish(senders[i], groups[i], i);
+    }
+    const std::size_t units_before =
+        system.engine() != nullptr ? system.engine()->plan().num_units : 0;
+    std::vector<Rng> streams;
+    system.reconfigure_async({Change::create({N(10), N(11)}),
+                              Change::create({N(12), N(13)}),
+                              Change::create({N(14), N(15)}),
+                              Change::create({N(0), N(6)})});
+    if (system.engine() != nullptr) {
+      EXPECT_EQ(system.engine()->plan().num_units, units_before + 4);
+      for (std::uint32_t u = 0; u < units_before; ++u) {
+        streams.push_back(system.engine()->unit_rng(u));
+      }
+    }
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      system.publish(senders[i], groups[i], 100 + i);
+    }
+    system.run();
+    if (old_streams_drew != nullptr) {
+      *old_streams_drew = false;
+      for (std::uint32_t u = 0; u < streams.size(); ++u) {
+        Rng now = system.engine()->unit_rng(u);
+        if (streams[u]() != now()) {
+          *old_streams_drew = true;
+        }
+      }
+    }
+    EXPECT_FALSE(system.transition_active());
+    EXPECT_FALSE(test::find_order_violation(system.deliveries()).has_value());
+    return system.deliveries();
+  };
+  bool drew = false;
+  const std::vector<Delivery> sharded = run(2, &drew);
+  EXPECT_TRUE(drew) << "no retransmission drew from an old unit's stream";
+  // Loss-free: retransmissions are duplicates, so delivery times do not
+  // depend on the jitter streams and the classic runtime must agree.
+  const std::vector<Delivery> classic = run(0, nullptr);
+  ASSERT_EQ(sharded.size(), classic.size());
+  EXPECT_EQ(sharded.size(), 2u * (4u + 4u + 4u + 2u));
+  for (std::size_t i = 0; i < sharded.size(); ++i) {
+    EXPECT_EQ(sharded[i].receiver, classic[i].receiver);
+    EXPECT_EQ(sharded[i].message, classic[i].message);
+    EXPECT_EQ(sharded[i].delivered_at, classic[i].delivered_at);
+  }
+}
+
 TEST(Dot, RendersAtomsEdgesAndPaths) {
   PubSubSystem system(test::small_config(94));
   system.create_group({N(0), N(1), N(2), N(3)});

@@ -296,6 +296,33 @@ TEST(ShardedRuntime, EngineIsExposedAndClamped) {
   EXPECT_EQ(legacy.engine(), nullptr);
 }
 
+TEST(ShardedRuntime, UnitRngsStayPutWhenThePlanGrows) {
+  // Channels hold references to their unit's RNG stream, so growing the
+  // plan (a reconfiguration adding units) must never move an existing one.
+  auto config = test::small_config(7, /*num_hosts=*/12);
+  config.shards = 2;
+  PubSubSystem system(config);
+  system.create_groups({{N(0), N(1)}, {N(2), N(3)}});
+  const runtime::ShardedEngine* engine = system.engine();
+  ASSERT_NE(engine, nullptr);
+  const std::uint32_t units = engine->plan().num_units;
+  std::vector<const Rng*> before;
+  for (std::uint32_t u = 0; u < units; ++u) {
+    before.push_back(&engine->unit_rng(u));
+  }
+  using Change = PubSubSystem::MembershipChange;
+  std::vector<Change> batch;
+  for (unsigned h = 4; h + 1 < 12; h += 2) {
+    batch.push_back(Change::create({N(h), N(h + 1)}));
+  }
+  system.reconfigure_async(std::move(batch));
+  system.run();
+  ASSERT_EQ(engine->plan().num_units, units + 4);
+  for (std::uint32_t u = 0; u < units; ++u) {
+    EXPECT_EQ(&engine->unit_rng(u), before[u]) << "unit " << u << " moved";
+  }
+}
+
 TEST(ShardedRuntime, IntrospectionMergesAcrossShards) {
   // seqnode_load / deliveries(node) / channel_faults must read the same
   // whether the state lives on one simulator or is merged across shards.

@@ -5,10 +5,14 @@
 // PubSubSystem (the single-process twin of tests/transport_cluster_test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -155,7 +159,8 @@ struct SimLink {
   std::unique_ptr<RecvChannel> receiver;
   std::vector<std::uint64_t> received;
 
-  explicit SimLink(SimEdgeOptions options, ChannelOptions channel = {}) {
+  explicit SimLink(SimEdgeOptions options,
+                   ChannelOptions channel = {.retransmit_timeout_ms = 50.0}) {
     net.add_endpoints(2);
     net.add_edge(1, 0, 1, options);
     sender = std::make_unique<SendChannel>(net.endpoint(0), rng, 1, channel);
@@ -411,6 +416,50 @@ TEST(UdpChannel, LoopbackDeliversInOrder) {
   EXPECT_FALSE(sender.faulted());
 }
 
+TEST(UdpChannel, QueuedAcksAreReadBeforeTimersFire) {
+  // A sender stalled for more than twice its retransmit timeout while the
+  // acks for its whole window sit unread in its socket: the next poll must
+  // read them before the retransmit timer fires, so nothing is resent.
+  UdpTransport a;
+  UdpTransport b;
+  a.add_edge(1, b.local_addr());
+  b.add_edge(1, a.local_addr());
+
+  Rng rng(3);
+  ChannelOptions options;
+  options.retransmit_timeout_ms = 20.0;
+  SendChannel sender(a, rng, 1, options);
+  std::size_t received = 0;
+  RecvChannel receiver(
+      b, 1, [&received](const std::uint8_t*, std::size_t, std::uint8_t) {
+        ++received;
+      });
+  ChannelSet set_a;
+  ChannelSet set_b;
+  set_a.add_sender(&sender);
+  set_b.add_receiver(&receiver);
+  a.set_datagram_sink([&set_a](const std::uint8_t* d, std::size_t n,
+                               const Origin& o) { set_a.handle(d, n, o); });
+  b.set_datagram_sink([&set_b](const std::uint8_t* d, std::size_t n,
+                               const Origin& o) { set_b.handle(d, n, o); });
+
+  constexpr std::size_t kCount = 32;
+  const std::uint8_t payload[] = {0x2A};
+  for (std::size_t i = 0; i < kCount; ++i) {
+    sender.send(payload, sizeof(payload));
+  }
+  // The receiver takes everything and acks it; `a` is not polled.
+  const double deadline = b.now_ms() + 5000.0;
+  while (received < kCount && b.now_ms() < deadline) b.poll(1.0);
+  ASSERT_EQ(received, kCount);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  a.poll(0.0);
+  EXPECT_EQ(sender.unacked(), 0u);
+  EXPECT_EQ(sender.transmissions(), kCount) << "the stall caused resends";
+  EXPECT_EQ(sender.retransmit_timer_fires(), 0u);
+}
+
 // --- In-process cluster conformance --------------------------------------
 
 /// (group, sender, payload) per receiver, in delivery order — the trace
@@ -512,6 +561,152 @@ TEST(SimCluster, ConformsOnCorpusSeed1FourRanks) {
 
 TEST(SimCluster, ConformsOnHostileSeed2TwoRanks) {
   run_sim_cluster_conformance("hostile-seed-2.repro", 2);
+}
+
+TEST(SimCluster, MalformedPeerInputIsCountedNotFatal) {
+  // One real engine (rank `dst`) and a peer rank played by the test with its
+  // own sending channel halves, so the channels stay in sequence while the
+  // payloads are hostile: an undecodable payload, a group id out of range,
+  // a message whose group's path does not contain the edge's atom, a
+  // distribution that stamps one atom twice, and an ingress publish that
+  // already carries a stamp. The engine must reject and count each one, and
+  // keep delivering.
+  const fuzz::Scenario scenario = fuzz::load_repro(
+      std::string(DECSEQ_FUZZ_CORPUS_DIR) + "/seed-1.repro");
+  auto system =
+      app::make_reference_system(app::script_from_scenario(scenario));
+  const app::ClusterConfig config = app::build_cluster_config(
+      *system, /*num_ranks=*/2, /*retransmit_timeout_ms=*/5.0,
+      /*max_retransmits=*/200, /*seed=*/1234);
+  const std::vector<app::EdgeSpec> edges = app::build_edge_table(config);
+  const auto atom_edge =
+      std::find_if(edges.begin(), edges.end(), [](const app::EdgeSpec& e) {
+        return e.kind == app::EdgeKind::kAtom && e.src_rank != e.dst_rank;
+      });
+  ASSERT_NE(atom_edge, edges.end());
+  const std::uint32_t src = atom_edge->src_rank;
+  const std::uint32_t dst = atom_edge->dst_rank;
+  const auto dist_edge =
+      std::find_if(edges.begin(), edges.end(), [&](const app::EdgeSpec& e) {
+        return e.kind == app::EdgeKind::kDistribute && e.src_rank == src &&
+               e.dst_rank == dst;
+      });
+  ASSERT_NE(dist_edge, edges.end());
+  const auto ingress_edge =
+      std::find_if(edges.begin(), edges.end(), [&](const app::EdgeSpec& e) {
+        return e.kind == app::EdgeKind::kIngress && e.src_rank == src &&
+               e.dst_rank == dst;
+      });
+  ASSERT_NE(ingress_edge, edges.end());
+  // A group off the atom edge's path, a live group with members on dst and
+  // a stamping hop, and a group whose ingress is on dst.
+  std::optional<std::uint32_t> off_path;
+  std::optional<std::uint32_t> local;
+  std::optional<std::uint32_t> ingress_on_dst;
+  for (std::uint32_t g = 0; g < config.groups.size(); ++g) {
+    const app::GroupEntry& entry = config.groups[g];
+    if (entry.path.empty()) continue;
+    if (std::none_of(entry.path.begin(), entry.path.end(),
+                     [&](const app::HopEntry& h) {
+                       return h.atom == atom_edge->to;
+                     })) {
+      off_path = g;
+    }
+    if (std::any_of(entry.members.begin(), entry.members.end(),
+                    [&](NodeId m) {
+                      return config.hosts[m.value()].rank == dst;
+                    }) &&
+        std::any_of(entry.path.begin(), entry.path.end(),
+                    [](const app::HopEntry& h) { return h.stamps; })) {
+      local = g;
+    }
+    if (entry.path.front().rank == dst) ingress_on_dst = g;
+  }
+  ASSERT_TRUE(off_path.has_value());
+  ASSERT_TRUE(local.has_value());
+  ASSERT_TRUE(ingress_on_dst.has_value());
+
+  sim::Simulator sim;
+  SimNet net(sim, 4321);
+  net.add_endpoints(config.num_ranks);
+  for (const app::EdgeSpec& edge : edges) {
+    if (edge.kind == app::EdgeKind::kControlCommand ||
+        edge.kind == app::EdgeKind::kControlReport ||
+        edge.src_rank == edge.dst_rank) {
+      continue;
+    }
+    net.add_edge(edge.id, edge.src_rank, edge.dst_rank);
+  }
+  ChannelSet engine_set;
+  std::vector<std::uint64_t> delivered;
+  app::NodeEngine engine(
+      net.endpoint(dst), engine_set, config, dst,
+      [&delivered](NodeId, const protocol::Message& m, double) {
+        delivered.push_back(m.payload());
+      });
+  net.endpoint(dst).set_datagram_sink(
+      [&engine_set](const std::uint8_t* d, std::size_t n, const Origin& o) {
+        engine_set.handle(d, n, o);
+      });
+  Rng rng(5);
+  const ChannelOptions options{.retransmit_timeout_ms = 5.0};
+  SendChannel to_atom(net.endpoint(src), rng, atom_edge->id, options);
+  SendChannel to_dist(net.endpoint(src), rng, dist_edge->id, options);
+  SendChannel to_ingress(net.endpoint(src), rng, ingress_edge->id, options);
+  ChannelSet peer_set;
+  peer_set.add_sender(&to_atom);
+  peer_set.add_sender(&to_dist);
+  peer_set.add_sender(&to_ingress);
+  net.endpoint(src).set_datagram_sink(
+      [&peer_set](const std::uint8_t* d, std::size_t n, const Origin& o) {
+        peer_set.handle(d, n, o);
+      });
+
+  const auto message = [](std::uint32_t group, std::uint64_t payload,
+                          const std::vector<app::HopEntry>& path) {
+    protocol::MessageSpec spec;
+    spec.id = MsgId(static_cast<std::uint32_t>(payload));
+    spec.group = GroupId(group);
+    spec.sender = NodeId(0);
+    spec.group_seq = 1;
+    spec.payload = payload;
+    protocol::StampVec stamps;
+    for (const app::HopEntry& hop : path) {
+      if (hop.stamps) stamps.push_back({hop.atom, 1});
+    }
+    return protocol::Message::make(std::move(spec), std::move(stamps));
+  };
+  const auto send = [](SendChannel& channel, const protocol::Message& m) {
+    const std::vector<std::uint8_t> bytes = protocol::encode_message(m);
+    channel.send(bytes.data(), bytes.size());
+  };
+  const std::vector<std::uint8_t> garbage = {0xFF, 0xFF, 0xFF, 0xFF};
+  to_dist.send(garbage.data(), garbage.size());
+  send(to_dist,
+       message(static_cast<std::uint32_t>(config.groups.size()) + 7, 1, {}));
+  send(to_atom, message(*off_path, 2, config.groups[*off_path].path));
+  // Both stamps of the repeated atom match the receiver's counter.
+  protocol::Message twice = message(*local, 3, config.groups[*local].path);
+  twice.stamps.push_back(twice.stamps.front());
+  send(to_dist, twice);
+  protocol::Message prestamped = message(*ingress_on_dst, 4, {});
+  prestamped.group_seq = 0;
+  prestamped.stamps.push_back(
+      {config.groups[*ingress_on_dst].path.front().atom, 1});
+  send(to_ingress, prestamped);
+  // A well-formed distribution on the same channel still gets through.
+  send(to_dist, message(*local, 777, config.groups[*local].path));
+  sim.run();
+
+  EXPECT_EQ(engine.stats().malformed, 5u);
+  EXPECT_EQ(engine_set.rejected(), 0u);
+  EXPECT_EQ(to_dist.unacked(), 0u);
+  EXPECT_EQ(to_atom.unacked(), 0u);
+  EXPECT_EQ(to_ingress.unacked(), 0u);
+  ASSERT_FALSE(delivered.empty());
+  EXPECT_TRUE(std::all_of(delivered.begin(), delivered.end(),
+                          [](std::uint64_t p) { return p == 777; }));
+  EXPECT_EQ(engine.stats().delivered, delivered.size());
 }
 
 // --- Control codec -------------------------------------------------------
